@@ -13,7 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/loopir"
 	"repro/internal/vtime"
 )
 
@@ -207,25 +206,6 @@ func BenchmarkFaultRecovery(b *testing.B) {
 }
 
 // --- component micro-benchmarks ---
-
-// BenchmarkLoweredMatMul measures the lowered execution engine on the MM
-// kernel (the per-element cost every slave pays).
-func BenchmarkLoweredMatMul(b *testing.B) {
-	in, err := loopir.NewInstance(loopir.MatMul(), map[string]int{"n": 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	code, err := in.Lower()
-	if err != nil {
-		b.Fatal(err)
-	}
-	flops := int64(3 * 64 * 64 * 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		code.Run()
-	}
-	b.SetBytes(flops) // bytes stand in for flops per op
-}
 
 // BenchmarkBalancerStep measures one load-balancing decision for 8 slaves.
 func BenchmarkBalancerStep(b *testing.B) {

@@ -31,7 +31,7 @@ func main() {
 	join := flag.String("join", "", "master join listener to volunteer into at startup (elastic join)")
 	drag := flag.Float64("drag", 1.0, "slow this daemon's computation by the given factor (emulated loaded machine)")
 	cores := flag.Int("cores", 0, "kernel worker goroutines (0: use the master's setting, -1: all hardware cores)")
-	kernel := flag.String("kernel", "", `execution tier override: "" uses the master's setting, else "interp", "kernel" or "aot"`)
+	kernel := flag.String("kernel", "", `execution tier override: "" uses the master's setting, else "kernel" or "aot"`)
 	codec := flag.String("codec", "", `data-plane codec: "" accepts the master's offer (binary), "gob" pins this daemon to gob`)
 	maxGroups := flag.Int("groups", 0, "admission cap on a run's hierarchical group count (0: unlimited)")
 	grace := flag.Duration("grace", 30*time.Second, "how long SIGTERM waits for an in-flight run to drain before forcing teardown")

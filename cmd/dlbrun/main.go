@@ -87,7 +87,7 @@ func main() {
 	flopCost := flag.Duration("flopcost", time.Microsecond, "virtual CPU time per flop (1µs ≈ Sun 4/330)")
 	real := flag.Bool("real", false, "run for real: wall-clock goroutines instead of the simulated cluster")
 	cores := flag.Int("cores", 0, "kernel worker goroutines per slave (0/1: sequential, -1: all hardware cores)")
-	kernel := flag.String("kernel", "", `execution tier for distributed-loop bodies: "interp", "kernel" (default) or "aot"`)
+	kernel := flag.String("kernel", "", `execution tier for distributed-loop bodies: "kernel" (default) or "aot"`)
 	costModel := flag.String("costmodel", "", `balancer's view of work units: "uniform" (default) or "learned" (per-unit costs measured online)`)
 	overlap := flag.Bool("overlap", true, "overlap eligible ghost exchanges with interior computation (-overlap=false forces synchronous exchanges)")
 	groups := flag.Int("groups", 0, "hierarchical balancing: partition slaves into this many leader-led groups (0/1: flat)")
@@ -232,18 +232,13 @@ func main() {
 	}
 	wall := *real || netAddrs != nil
 	if wall {
-		// In real and distributed modes the baseline is a timed sequential
-		// run, not the calibrated virtual one.
-		inst, err := loopir.NewInstance(plan.Prog, params)
+		// In real and distributed modes the baseline is a timed one-slave
+		// run on the same tier, not the calibrated virtual one.
+		base, err := dlb.RunReal(cfg.SameTierBaseline(), 1)
 		if err != nil {
 			fail(err)
 		}
-		t0 := time.Now()
-		if err := inst.Run(); err != nil {
-			fail(err)
-		}
-		seq = time.Since(t0)
-		ref = inst.Arrays
+		seq = base.Elapsed
 	}
 
 	worst := 0.0

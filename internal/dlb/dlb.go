@@ -93,11 +93,12 @@ type Config struct {
 	// core, N > 1 uses exactly N workers.
 	Cores int
 	// Kernel selects the execution tier for distributed-loop bodies:
-	// "interp" runs the lowered interpreter fragments only, "kernel" (the
-	// default) adds the compiled postfix-VM range kernels, and "aot" emits
-	// real Go source, builds it with the toolchain into a cached native
-	// artifact, and dispatches to it — falling back tier by tier for
-	// regions the emitter refuses. All tiers are bit-identical.
+	// "kernel" (the default) runs the compiled postfix-VM range kernels,
+	// and "aot" emits real Go source, builds it with the toolchain into a
+	// cached native artifact, and dispatches to it — falling back to the
+	// VM for regions the emitter refuses. Bodies the kernel compiler
+	// refuses (indirect subscripts) run interpreted on either tier. Both
+	// tiers are bit-identical.
 	Kernel string
 	// CostModel selects how the master weighs work units when balancing:
 	// "uniform" (the default) keeps the classic every-unit-equal
@@ -174,11 +175,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Kernel execution tiers, ordered interp < kernel < aot.
+// Kernel execution tiers, ordered kernel < aot.
 const (
-	KernelInterp = "interp"
-	KernelVM     = "kernel"
-	KernelAOT    = "aot"
+	KernelVM  = "kernel"
+	KernelAOT = "aot"
 )
 
 // KernelTier resolves the Kernel knob ("" means the VM tier) or returns
@@ -187,11 +187,22 @@ func (c Config) KernelTier() (string, error) {
 	switch c.Kernel {
 	case "", KernelVM:
 		return KernelVM, nil
-	case KernelInterp, KernelAOT:
+	case KernelAOT:
 		return c.Kernel, nil
 	}
-	return "", fmt.Errorf("dlb: unknown kernel tier %q (want %q, %q or %q)",
-		c.Kernel, KernelInterp, KernelVM, KernelAOT)
+	return "", fmt.Errorf("dlb: unknown kernel tier %q (want \"\", %q or %q)",
+		c.Kernel, KernelVM, KernelAOT)
+}
+
+// SameTierBaseline returns the configuration of the wall-clock sequential
+// baseline for c: the same plan, parameters and kernel tier on one slave
+// (run it with RunReal(cfg, 1)) with balancing, groups, multicore
+// dispatch, drag and fault injection off. Speedup and efficiency against
+// it compare like with like; a baseline on another tier would credit the
+// tier's speed to the parallel run.
+func (c Config) SameTierBaseline() Config {
+	c.DLB, c.Groups, c.Cores, c.RealDrag, c.Fault = false, 0, 1, nil, nil
+	return c
 }
 
 // Cost-model modes for the balancer's view of work units.

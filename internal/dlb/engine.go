@@ -172,8 +172,7 @@ func (e *engine) scatter() {
 
 // noteDispatch folds a terminating slave's compute-dispatch accounting
 // into the engine counters: how much owned work ran through AOT-built
-// native kernels, compiled range kernels, or the lowered interpreter
-// fallback.
+// native kernels, compiled range kernels, or the interpreter fallback.
 func (e *engine) noteDispatch(st StatusMsg) {
 	e.res.Counters.Add("aot_units", st.AotUnits)
 	e.res.Counters.Add("kernel_units", st.KernelUnits)

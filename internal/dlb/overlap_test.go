@@ -132,7 +132,7 @@ func TestOverlapBitIdentical(t *testing.T) {
 }
 
 // TestOverlapTiersBitIdentical runs the eligible jacobi-family programs
-// through every execution tier (interp, VM kernel, multicore kernel, AOT)
+// through every execution tier (VM kernel, multicore kernel, AOT)
 // with overlap on and off: the split is just two range calls, so every tier
 // must agree bit for bit and still overlap.
 func TestOverlapTiersBitIdentical(t *testing.T) {
@@ -140,7 +140,6 @@ func TestOverlapTiersBitIdentical(t *testing.T) {
 		tier  string
 		cores int
 	}{
-		{KernelInterp, 1},
 		{KernelVM, 1},
 		{KernelVM, 2},
 		{KernelAOT, 2},

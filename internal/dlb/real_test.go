@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/depend"
+	"repro/internal/fault"
 	"repro/internal/loopir"
 	"repro/internal/testx"
 )
@@ -142,5 +143,42 @@ func TestRealDragTriggersMovement(t *testing.T) {
 	verifyRealPlan(t, res, plan, params)
 	if res.Moves == 0 {
 		t.Log("no movement occurred (run may have been too fast on this machine); data still verified")
+	}
+}
+
+// TestSameTierBaseline pins the wall-clock baseline to the parallel run's
+// tier: from an aot configuration with groups, cores, drag and a fault
+// plan, the baseline must be a plain one-slave aot run that dispatches its
+// owned units natively and matches the sequential reference. A baseline
+// on another tier credits the tier's speed to the parallel run, and lets
+// one-slave efficiency exceed 1.
+func TestSameTierBaseline(t *testing.T) {
+	plan := planFor(t, "mm")
+	params := map[string]int{"n": 48}
+	cfg := Config{
+		Plan: plan, Params: params, DLB: true, Groups: 2, Cores: 4,
+		Kernel: KernelAOT, RealDrag: []float64{2},
+		Fault: (&fault.Plan{}).CrashAt(0, time.Millisecond),
+	}
+	base := cfg.SameTierBaseline()
+	if base.DLB || base.Groups != 0 || base.Cores != 1 || base.RealDrag != nil || base.Fault != nil {
+		t.Fatalf("baseline keeps balancing, groups, cores, drag or faults: %+v", base)
+	}
+	if base.Kernel != KernelAOT {
+		t.Fatalf("baseline tier = %q, want %q", base.Kernel, KernelAOT)
+	}
+	res, err := RunReal(base, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyRealPlan(t, res, plan, params)
+	if res.AotInfo == nil || res.Counters.Get("aot_units") == 0 {
+		t.Errorf("baseline did not run on the aot tier: %v", res.Counters)
+	}
+	if n := res.Counters.Get("kernel_units") + res.Counters.Get("fallback_units"); n != 0 {
+		t.Errorf("baseline ran %d units off the aot tier: %v", n, res.Counters)
+	}
+	if res.Moves != 0 {
+		t.Errorf("baseline moved %d times", res.Moves)
 	}
 }

@@ -12,15 +12,16 @@ import (
 	"repro/internal/loopir"
 )
 
-// rangeLo and rangeHi are the free variables of the lowered range fragment
-// that executes a contiguous run of owned distributed-loop iterations.
+// rangeLo and rangeHi are the free variables of the interpreted range
+// fragment that executes a contiguous run of owned distributed-loop
+// iterations whose body the kernel compiler refuses.
 const (
 	rangeLo = "__lo"
 	rangeHi = "__hi"
 )
 
 // fragRunner is a compiled or interpreted compute fragment. Affine bodies
-// lower to postfix fragments (loopir.Fragment); bodies the lowerer refuses
+// compile to VM kernels (loopir.Kernel); bodies the kernel compiler refuses
 // — indirect subscripts like a[idx[i]] — fall back to the tree-walking
 // InterpFragment, which runs the same statements against the same arrays.
 type fragRunner interface {
@@ -59,7 +60,7 @@ type slave struct {
 
 	// tier is the resolved kernel tier; aot carries the run's shared
 	// native kernels and aotKernels the per-instance bindings (only
-	// regions the emitter accepted — others fall back tier by tier).
+	// regions the emitter accepted — others fall back to the VM).
 	tier       string
 	aot        *aotBundle
 	aotKernels map[*compile.OwnedLoop]*aot.BoundKernel
@@ -70,7 +71,7 @@ type slave struct {
 	cores         int
 	aotUnits      int64 // units executed through AOT-built native kernels
 	kernelUnits   int64 // units executed through compiled range kernels
-	fallbackUnits int64 // units executed through the lowered fallback
+	fallbackUnits int64 // units executed through the interpreter fallback
 
 	// Split-loop async ghost exchange (Config.Overlap): pending maps a
 	// carrier loop to the exchanges whose sends were posted but whose
@@ -145,7 +146,7 @@ func (s *slave) runOn(ep Endpoint) {
 	s.deactivateOutside(lo, hi)
 
 	// Compile the generated code against the local arrays: one range
-	// kernel (plus a lowered fallback fragment) per distributed loop, one
+	// kernel (or an interpreted fragment) per distributed loop, one
 	// fragment per owner block.
 	s.frags = map[*compile.OwnedLoop]fragRunner{}
 	s.kernels = map[*compile.OwnedLoop]*loopir.RangeKernel{}
@@ -155,9 +156,7 @@ func (s *slave) runOn(ep Endpoint) {
 	if s.tier == "" {
 		s.tier = KernelVM
 	}
-	if err := s.lowerSteps(plan.Steps); err != nil {
-		panic(fmt.Sprintf("slave%d: %v", s.id, err))
-	}
+	s.compileSteps(plan.Steps)
 	s.cores = s.cfg.CoreCount()
 
 	// Per-unit cost measurement: always on for indirect (data-dependent)
@@ -255,28 +254,25 @@ func (s *slave) eval(e loopir.IExpr) int {
 	return v
 }
 
-// lowerSteps pre-lowers all compute fragments.
-func (s *slave) lowerSteps(steps []compile.Step) error {
+// compileSteps compiles every compute fragment ahead of execution.
+func (s *slave) compileSteps(steps []compile.Step) {
 	for _, st := range steps {
 		switch st := st.(type) {
 		case *compile.SeqLoop:
-			if err := s.lowerSteps(st.Body); err != nil {
-				return err
-			}
+			s.compileSteps(st.Body)
 		case *compile.StripLoop:
-			if err := s.lowerSteps(st.Body); err != nil {
-				return err
-			}
+			s.compileSteps(st.Body)
 		case *compile.OwnedLoop:
 			// The range kernel is the hot path (and, on the aot tier, the
-			// oracle for guard and worker resolution); compilation failure
-			// (non-affine subscripts) leaves only the lowered fragment,
-			// which execOwned then uses. The interp tier skips it so every
-			// owned unit runs through the lowered fragments.
-			if s.tier != KernelInterp {
-				if rk, err := s.inst.CompileRangeKernel(st.Var, st.Body); err == nil {
-					s.kernels[st] = rk
-				}
+			// oracle for guard and worker resolution). A body it refuses
+			// (non-affine subscripts) would be refused by CompileKernel
+			// too, so execOwned runs it through the interpreter.
+			if rk, err := s.inst.CompileRangeKernel(st.Var, st.Body); err == nil {
+				s.kernels[st] = rk
+			} else {
+				s.frags[st] = &loopir.InterpFragment{In: s.inst, Stmts: []loopir.Stmt{
+					loopir.For(st.Var, loopir.Iv(rangeLo), loopir.Iv(rangeHi), st.Body...),
+				}}
 			}
 			if k := s.aot.kernelFor(st); k != nil && s.tier == KernelAOT {
 				if bk, err := k.Bind(s.inst.Arrays); err == nil {
@@ -284,25 +280,20 @@ func (s *slave) lowerSteps(steps []compile.Step) error {
 				}
 			}
 			s.iarr[st] = loopir.UsesIArr(st.Body)
-			wrapped := []loopir.Stmt{
-				loopir.For(st.Var, loopir.Iv(rangeLo), loopir.Iv(rangeHi), st.Body...),
-			}
-			s.frags[st] = s.lowerOrInterp(wrapped)
 		case *compile.OwnerBlock:
-			s.ownerFrags[st] = s.lowerOrInterp(st.Body)
+			s.ownerFrags[st] = s.compileOrInterp(st.Body)
 		case *compile.AllStmts:
-			s.allFrags = append(s.allFrags, allFrag{st, s.lowerOrInterp(st.Body)})
+			s.allFrags = append(s.allFrags, allFrag{st, s.compileOrInterp(st.Body)})
 		}
 	}
-	return nil
 }
 
-// lowerOrInterp lowers statements to a postfix fragment, falling back to
-// the tree-walking interpreter for bodies the lowerer refuses (indirect
-// subscripts).
-func (s *slave) lowerOrInterp(stmts []loopir.Stmt) fragRunner {
-	if frag, err := s.inst.LowerStmts(stmts); err == nil {
-		return frag
+// compileOrInterp compiles statements to a VM kernel, falling back to the
+// tree-walking interpreter for bodies the kernel compiler refuses
+// (indirect subscripts).
+func (s *slave) compileOrInterp(stmts []loopir.Stmt) fragRunner {
+	if k, err := s.inst.CompileKernel(stmts); err == nil {
+		return k
 	}
 	return &loopir.InterpFragment{In: s.inst, Stmts: stmts}
 }
@@ -1285,10 +1276,10 @@ func (s *slave) sendDoneHier(done StatusMsg) {
 func (s *slave) runTree() {
 	s.execSteps(s.exec.Plan.Steps)
 	done := StatusMsg{
-		Phase:         s.phase,
-		HookIndex:     s.hookVisit,
-		Done:          true,
-		Epoch:         s.epoch,
+		Phase:           s.phase,
+		HookIndex:       s.hookVisit,
+		Done:            true,
+		Epoch:           s.epoch,
 		AotUnits:        s.aotUnits,
 		KernelUnits:     s.kernelUnits,
 		FallbackUnits:   s.fallbackUnits,

@@ -11,12 +11,11 @@ import (
 )
 
 // TestKernelTierDifferential runs the acceptance matrix for the AOT tier:
-// jacobi, sor, mm and lu at 1, 2 and 4 workers under every kernel tier
+// jacobi, sor, mm and lu at 1, 2 and 4 workers under both kernel tiers
 // must produce bit-identical distributed arrays (runAndVerify already
 // pins each run to the sequential reference; the cross-tier comparison
 // below additionally pins reduction arrays, which runAndVerify only
-// bounds). The aot runs must actually dispatch to native kernels, and the
-// interp runs must never touch the VM kernels.
+// bounds). The aot runs must actually dispatch to native kernels.
 func TestKernelTierDifferential(t *testing.T) {
 	progs := []struct {
 		name   string
@@ -31,17 +30,12 @@ func TestKernelTierDifferential(t *testing.T) {
 		plan := planFor(t, p.name)
 		for _, cores := range []int{1, 2, 4} {
 			var base map[string]*loopir.Array
-			for _, tier := range []string{KernelInterp, KernelVM, KernelAOT} {
+			for _, tier := range []string{KernelVM, KernelAOT} {
 				t.Run(fmt.Sprintf("%s/c%d/%s", p.name, cores, tier), func(t *testing.T) {
 					res := runAndVerify(t, plan, p.params,
 						Config{DLB: true, Cores: cores, Kernel: tier},
 						cluster.Config{Slaves: 3})
-					switch tier {
-					case KernelInterp:
-						if res.Counters.Get("kernel_units")+res.Counters.Get("aot_units") != 0 {
-							t.Errorf("interp tier dispatched to kernels: %v", res.Counters)
-						}
-					case KernelAOT:
+					if tier == KernelAOT {
 						if res.AotInfo == nil {
 							t.Fatal("aot run has no AotInfo")
 						}
@@ -72,7 +66,8 @@ func TestKernelTierDifferential(t *testing.T) {
 // parallelize: jacobi-converge's residual sweep carries a reduction chain
 // (native dispatch must stay sequential yet bit-identical across tiers,
 // including the replicated residual), and unknown tier names must be
-// rejected up front.
+// rejected up front — "interp" too: the interpreter is the fallback for
+// bodies the kernel compiler refuses, not a selectable tier.
 func TestKernelTierChainsAndGuards(t *testing.T) {
 	prog := loopir.Library()["jacobi-converge"]
 	plan, err := compile.Compile(prog, compile.Options{
@@ -83,7 +78,7 @@ func TestKernelTierChainsAndGuards(t *testing.T) {
 	}
 	params := map[string]int{"n": 32, "maxiter": 4}
 	var base map[string]*loopir.Array
-	for _, tier := range []string{KernelInterp, KernelVM, KernelAOT} {
+	for _, tier := range []string{KernelVM, KernelAOT} {
 		res, runErr := Run(Config{Plan: plan, Params: params, DLB: true, Cores: 4, Kernel: tier},
 			cluster.Config{Slaves: 3})
 		if runErr != nil {
@@ -100,8 +95,10 @@ func TestKernelTierChainsAndGuards(t *testing.T) {
 		}
 	}
 
-	if _, err := Run(Config{Plan: plan, Params: params, DLB: true, Kernel: "jit"},
-		cluster.Config{Slaves: 2}); err == nil {
-		t.Error("unknown kernel tier accepted")
+	for _, tier := range []string{"jit", "interp"} {
+		if _, err := Run(Config{Plan: plan, Params: params, DLB: true, Kernel: tier},
+			cluster.Config{Slaves: 2}); err == nil {
+			t.Errorf("unknown kernel tier %q accepted", tier)
+		}
 	}
 }

@@ -38,10 +38,10 @@ type RunSpec struct {
 	// daemons may override it locally with their own -cores setting.
 	Cores int
 	// Kernel is the execution tier for distributed-loop bodies
-	// (dlb.Config.Kernel: "interp", "kernel" or "aot"; empty means
-	// "kernel"). Daemons may override it locally with their own -kernel
-	// setting. The tier does not enter the plan hash — all tiers execute
-	// the same plan bit-identically.
+	// (dlb.Config.Kernel: "kernel" or "aot"; empty means "kernel").
+	// Daemons may override it locally with their own -kernel setting. The
+	// tier does not enter the plan hash — both tiers execute the same plan
+	// bit-identically.
 	Kernel string
 	// CostModel selects the balancer's view of work units
 	// (dlb.Config.CostModel: "uniform" or "learned"; empty means

@@ -16,11 +16,11 @@ import (
 
 // The kernel experiment: how much of the slave's per-unit compute cost the
 // compiled loop kernels remove, and how the multicore range kernels scale.
-// Each library program is run at four tiers — the tree-walking interpreter
-// (the differential oracle), the lowered closure engine, the compiled
-// kernel, and the AOT-built native kernel — plus a worker-count sweep of
-// the parallel range kernel (VM and AOT) on the jacobi stencil, and a
-// cold/warm start-latency table for the AOT build cache. The same
+// Each library program is run three ways — the tree-walking interpreter
+// (the differential oracle), the compiled VM kernel, and the AOT-built
+// native kernel — plus a worker-count sweep of the parallel range kernel
+// (VM and AOT) on the jacobi stencil, and a cold/warm start-latency table
+// for the AOT build cache. The same
 // comparisons exist as go benchmarks (BenchmarkKernel,
 // BenchmarkRangeKernelWorkers in internal/loopir); this driver renders them
 // as an experiment artifact plus machine-readable JSON.
@@ -28,7 +28,7 @@ import (
 // KernelRow is one benchmark measurement.
 type KernelRow struct {
 	Bench   string  `json:"bench"`   // e.g. "kernel/jacobi" or "workers/jacobi-sweep"
-	Variant string  `json:"variant"` // "interp"/"lowered"/"kernel"/"aot" or "w=1".."aot-w=4"
+	Variant string  `json:"variant"` // "interp"/"kernel"/"aot" or "w=1".."aot-w=4"
 	NsPerOp float64 `json:"ns_per_op"`
 	Flops   int64   `json:"flops_per_op"`
 	MFlops  float64 `json:"mflops"`
@@ -72,10 +72,10 @@ func kernelRow(bench, variant string, flops int64, fn func(b *testing.B)) Kernel
 	return KernelRow{Bench: bench, Variant: variant, NsPerOp: ns, Flops: flops, MFlops: mf}
 }
 
-// Kernel runs the loop-kernel microbenchmarks: interpreter vs lowered
-// closures vs compiled kernel on the stencil (jacobi), pipelined (sor) and
-// matrix-product (mm) programs, and the parallel range kernel's worker
-// scaling on the jacobi sweep.
+// Kernel runs the loop-kernel microbenchmarks: interpreter vs VM kernel vs
+// AOT kernel on the stencil (jacobi), pipelined (sor) and matrix-product
+// (mm) programs, and the parallel range kernel's worker scaling on the
+// jacobi sweep.
 func Kernel(s Scale) (*KernelReport, error) {
 	type bcase struct {
 		name   string
@@ -96,8 +96,12 @@ func Kernel(s Scale) (*KernelReport, error) {
 		sweepN = 64
 	}
 	rep := &KernelReport{CPUs: runtime.NumCPU(), Speedups: map[string]float64{}}
-	if rep.CPUs == 1 {
+	switch {
+	case rep.CPUs == 1:
 		rep.Note = "single-CPU host: workers/* rows cannot scale and flatline at the w=1 rate"
+	case rep.CPUs < 4:
+		rep.Note = fmt.Sprintf("%d-CPU host: workers/* rows above w=%d cannot scale past the w=%d rate",
+			rep.CPUs, rep.CPUs, rep.CPUs)
 	}
 
 	for _, c := range cases {
@@ -117,20 +121,6 @@ func Kernel(s Scale) (*KernelReport, error) {
 				if err := interpIn.Interpret(); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-
-		lowIn, err := loopir.NewInstance(prog, c.params)
-		if err != nil {
-			return nil, err
-		}
-		code, err := lowIn.Lower()
-		if err != nil {
-			return nil, err
-		}
-		lowered := kernelRow(bench, "lowered", flops, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				code.Run()
 			}
 		})
 
@@ -166,7 +156,7 @@ func Kernel(s Scale) (*KernelReport, error) {
 			}
 		})
 
-		rep.Rows = append(rep.Rows, interp, lowered, kernel, aotRow)
+		rep.Rows = append(rep.Rows, interp, kernel, aotRow)
 		if kernel.NsPerOp > 0 {
 			rep.Speedups[bench] = interp.NsPerOp / kernel.NsPerOp
 		}
@@ -279,7 +269,7 @@ func aotStartLatency(rep *KernelReport, prog *loopir.Program, params map[string]
 // RenderKernel formats the report as the experiment's text artifact.
 func RenderKernel(rep *KernelReport) string {
 	var sb strings.Builder
-	sb.WriteString("Compiled loop kernels: interpreter vs lowered closures vs kernel vs AOT, and worker scaling\n")
+	sb.WriteString("Compiled loop kernels: interpreter vs VM kernel vs AOT, and worker scaling\n")
 	sb.WriteString("(kernel/* speedup = interp/kernel; aot-vs-* = AOT over that tier; workers/* = one worker over the best)\n")
 	fmt.Fprintf(&sb, "host CPUs: %d", rep.CPUs)
 	if rep.Note != "" {

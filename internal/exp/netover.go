@@ -13,12 +13,12 @@ import (
 // NetRow is one (application, backend) measurement of the transport
 // overhead comparison: the same compiled plan driven by the same master
 // protocol over in-process goroutine channels versus real TCP sockets on
-// loopback, against a timed sequential run of the source program.
+// loopback, against a timed one-slave run on the same kernel tier.
 type NetRow struct {
 	App     string
 	Backend string // "goroutines" or "tcp-loopback"
 	Slaves  int
-	Seq     time.Duration // wall-clock sequential baseline
+	Seq     time.Duration // wall-clock same-tier one-slave baseline
 	Par     time.Duration // wall-clock parallel run
 	Speedup float64
 	Phases  int
@@ -49,15 +49,15 @@ func NetOverhead(s Scale) ([]NetRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq, ref, err := timedSequential(app)
-		if err != nil {
-			return nil, err
-		}
 		cfg := dlb.Config{
 			Plan:        app.Plan,
 			Params:      app.Params,
 			DLB:         true,
 			RealQuantum: 2 * time.Millisecond,
+		}
+		seq, ref, err := timedSequential(app, cfg)
+		if err != nil {
+			return nil, err
 		}
 
 		t0 := time.Now()
@@ -93,14 +93,18 @@ func NetOverhead(s Scale) ([]NetRow, error) {
 	return rows, nil
 }
 
-// timedSequential runs the program sequentially under the wall clock.
-func timedSequential(app *App) (time.Duration, map[string]*loopir.Array, error) {
+// timedSequential times cfg's same-tier one-slave baseline under the wall
+// clock and returns it with the sequential reference arrays.
+func timedSequential(app *App, cfg dlb.Config) (time.Duration, map[string]*loopir.Array, error) {
 	inst, err := loopir.NewInstance(app.Plan.Prog, app.Params)
 	if err != nil {
 		return 0, nil, err
 	}
-	t0 := time.Now()
 	if err := inst.Run(); err != nil {
+		return 0, nil, err
+	}
+	t0 := time.Now()
+	if _, err := dlb.RunReal(cfg.SameTierBaseline(), 1); err != nil {
 		return 0, nil, err
 	}
 	return time.Since(t0), inst.Arrays, nil

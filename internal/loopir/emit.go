@@ -62,23 +62,15 @@ type EmittedKernel struct {
 }
 
 // EmitRangeKernelGo emits the distributed loop `for distVar in [lo,hi) {
-// body }` as a Go function. The same compilation path as
-// CompileRangeKernel produces the instruction tree and the parallel-safety
-// analysis, so the emitted function is the native twin of the range kernel
-// the VM would execute.
+// body }` as a Go function. CompileRangeKernel's constructor produces the
+// instruction tree and the parallel-safety analysis, so the emitted
+// function is the native twin of the range kernel the VM would execute.
 func (in *Instance) EmitRangeKernelGo(distVar string, body []Stmt, name string) (*EmittedKernel, error) {
-	wrapped := []Stmt{For(distVar, Iv(kernelLoVar), Iv(kernelHiVar), body...)}
-	k, kc, err := in.compileKernel(wrapped)
+	rk, kc, err := in.newRangeKernel(distVar, body)
 	if err != nil {
 		return nil, err
 	}
-	rk := &RangeKernel{
-		k:     k,
-		loReg: k.regIndex[kernelLoVar],
-		hiReg: k.regIndex[kernelHiVar],
-	}
-	rk.analyze(kc, k.regIndex[distVar], body)
-	em := newEmitter(k, kc, rk.loReg, rk.hiReg)
+	em := newEmitter(rk.k, kc, rk.loReg, rk.hiReg)
 	ek, err := em.emit(name, fmt.Sprintf("executes iterations [lo, hi) of distributed loop %q", distVar))
 	if err != nil {
 		return nil, err

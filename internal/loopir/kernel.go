@@ -6,9 +6,10 @@ import (
 )
 
 // This file is the kernel compiler: it specializes a statement tree into a
-// form the runtime can execute at close to memory speed, superseding both
-// the tree-walking interpreter (eval.go, the semantic reference) and the
-// closure-based lowered engine (lower.go) on the hot path.
+// form the runtime can execute at close to memory speed, replacing the
+// tree-walking interpreter (eval.go, the semantic reference and the
+// fallback for non-affine bodies) on the hot path. Its instruction tree
+// and analysis verdicts are also the input of the Go emitter (emit.go).
 //
 // What makes a kernel fast:
 //
@@ -758,10 +759,18 @@ type RangeKernel struct {
 // CompileRangeKernel compiles body as a distributed-range kernel over
 // distVar.
 func (in *Instance) CompileRangeKernel(distVar string, body []Stmt) (*RangeKernel, error) {
+	rk, _, err := in.newRangeKernel(distVar, body)
+	return rk, err
+}
+
+// newRangeKernel wraps body in the distributed loop over [__klo,__khi),
+// compiles it and runs the parallel-safety analysis. The compiler state is
+// returned too: the Go emitter walks it to produce the native twin.
+func (in *Instance) newRangeKernel(distVar string, body []Stmt) (*RangeKernel, *kcompiler, error) {
 	wrapped := []Stmt{For(distVar, Iv(kernelLoVar), Iv(kernelHiVar), body...)}
 	k, kc, err := in.compileKernel(wrapped)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rk := &RangeKernel{
 		k:     k,
@@ -769,7 +778,7 @@ func (in *Instance) CompileRangeKernel(distVar string, body []Stmt) (*RangeKerne
 		hiReg: k.regIndex[kernelHiVar],
 	}
 	rk.analyze(kc, k.regIndex[distVar], body)
-	return rk, nil
+	return rk, kc, nil
 }
 
 // countExprReads counts reads of array name in an expression.

@@ -24,10 +24,12 @@ func kernelTestParams() map[string]map[string]int {
 	}
 }
 
-// TestKernelMatchesInterpreter is the kernel counterpart of
-// TestLowerMatchesInterpreter: on every library program the compiled
-// kernel must reproduce the tree-walking interpreter bit for bit —
-// sequential kernels preserve even reduction chains exactly.
+// TestKernelMatchesInterpreter is the core equivalence check: on every
+// library program the compiled kernel must reproduce the tree-walking
+// interpreter bit for bit — sequential kernels preserve even reduction
+// chains exactly. Programs the kernel compiler refuses (indirect
+// subscripts) run through the interpreted fragment the slaves fall back
+// to, under the same comparison.
 func TestKernelMatchesInterpreter(t *testing.T) {
 	params := kernelTestParams()
 	for name, prog := range Library() {
@@ -45,12 +47,13 @@ func TestKernelMatchesInterpreter(t *testing.T) {
 		fast := ref.Clone()
 		k, err := fast.CompileKernel(fast.Prog.Body)
 		if err != nil {
-			if UsesIArr(prog.Body) {
-				continue // data-dependent programs run interpreted by design
+			if !UsesIArr(prog.Body) {
+				t.Fatalf("%s: compile kernel: %v", name, err)
 			}
-			t.Fatalf("%s: compile kernel: %v", name, err)
+			(&InterpFragment{In: fast, Stmts: fast.Prog.Body}).Run(nil)
+		} else {
+			k.Run(nil)
 		}
-		k.Run(nil)
 		for arr := range ref.Arrays {
 			if d := ref.Arrays[arr].MaxAbsDiff(fast.Arrays[arr]); d != 0 {
 				t.Errorf("%s: array %q differs by %g between interpreter and kernel", name, arr, d)
@@ -282,8 +285,7 @@ func randParProgram(r *rand.Rand) *Program {
 }
 
 // TestQuickKernelEquivalence cross-checks the whole-program kernel against
-// the interpreter on random programs (same generator as the lowered-engine
-// fuzz test).
+// the interpreter on random programs (randProgram).
 func TestQuickKernelEquivalence(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	check := func(seed int64) bool {
@@ -390,10 +392,9 @@ func TestKernelRate(t *testing.T) {
 	}
 }
 
-// BenchmarkKernel compares the three execution tiers — interpreter,
-// lowered closures, compiled kernel — on the stencil (jacobi) and
-// pipelined (sor) programs plus mm. The kernel/interp ratio here is the
-// ≥5x acceptance bar recorded in BENCH_kernel.json.
+// BenchmarkKernel compares the interpreter with the compiled kernel on the
+// stencil (jacobi) and pipelined (sor) programs plus mm. The kernel/interp
+// ratio here is the ≥5x acceptance bar recorded in BENCH_kernel.json.
 func BenchmarkKernel(b *testing.B) {
 	progs := []struct {
 		name   string
@@ -423,21 +424,6 @@ func BenchmarkKernel(b *testing.B) {
 				if err := in.Interpret(); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-		b.Run(p.name+"/lowered", func(b *testing.B) {
-			in, err := NewInstance(prog, p.params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			code, err := in.Lower()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(flops)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				code.Run()
 			}
 		})
 		b.Run(p.name+"/kernel", func(b *testing.B) {

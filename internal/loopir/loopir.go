@@ -7,9 +7,10 @@
 // overrelaxation, LU decomposition) into C; here the same routines are
 // expressed in this IR, analyzed by internal/depend, and parallelized by
 // internal/compile. The package also provides a sequential interpreter
-// (the correctness reference for all parallel executions) and a faster
-// lowered execution engine used by both the reference runs and the
-// generated slave code.
+// (the correctness reference for all parallel executions) and one loop
+// compiler with two backends: a postfix VM (kernel.go) used by both the
+// reference runs and the generated slave code, and a Go source emitter
+// (emit.go) whose output the aot package builds into native kernels.
 package loopir
 
 import (

@@ -138,23 +138,12 @@ func TestMissingParameterRejected(t *testing.T) {
 	}
 }
 
-// TestLowerMatchesInterpreter is the core equivalence check: the fast
-// lowered engine must produce bit-identical results to the tree-walking
-// interpreter on every library program.
+// TestLowerMatchesInterpreter checks the public Instance.Run path — the
+// affine front end feeding the compiled kernel, with its own fallback to
+// the interpreter for statement lists the front end refuses — against the
+// tree-walking interpreter, bit for bit, on every library program.
 func TestLowerMatchesInterpreter(t *testing.T) {
-	params := map[string]map[string]int{
-		"mm":              {"n": 12},
-		"sor":             {"n": 14, "maxiter": 4},
-		"lu":              {"n": 12},
-		"jacobi":          {"n": 12, "maxiter": 3},
-		"threshold-relax": {"n": 10, "maxiter": 3},
-		"axpy":            {"n": 50, "maxiter": 4},
-		"periodic-sor":    {"n": 14, "maxiter": 4},
-		"jacobi-converge": {"n": 12, "maxiter": 60},
-		"jacobi3d":        {"n": 8, "maxiter": 2},
-		"spmv":            {"n": 96, "maxiter": 2},
-		"pbin":            {"n": 48, "maxiter": 2},
-	}
+	params := kernelTestParams()
 	for name, prog := range Library() {
 		prm, ok := params[name]
 		if !ok {
@@ -167,21 +156,16 @@ func TestLowerMatchesInterpreter(t *testing.T) {
 		if err := ref.Interpret(); err != nil {
 			t.Fatalf("%s: interpret: %v", name, err)
 		}
-		fast := ref.Clone()
-		code, err := fast.Lower()
+		fast, err := NewInstance(prog, prm)
 		if err != nil {
-			if !UsesIArr(prog.Body) {
-				t.Fatalf("%s: lower: %v", name, err)
-			}
-			// Data-dependent programs fall back to the interpreted
-			// fragment tier; exercise it through the same comparison.
-			(&InterpFragment{In: fast, Stmts: fast.Prog.Body}).Run(nil)
-		} else {
-			code.Run()
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := fast.Run(); err != nil {
+			t.Fatalf("%s: run: %v", name, err)
 		}
 		for arr := range ref.Arrays {
 			if d := ref.Arrays[arr].MaxAbsDiff(fast.Arrays[arr]); d != 0 {
-				t.Errorf("%s: array %q differs by %g between interpreter and lowered engine", name, arr, d)
+				t.Errorf("%s: array %q differs by %g between interpreter and Run", name, arr, d)
 			}
 		}
 	}
@@ -203,7 +187,7 @@ func TestLoweredValuesAreFinite(t *testing.T) {
 }
 
 func TestFragmentFreeVariables(t *testing.T) {
-	// Lower only the inner j loop of a 2-D sweep; i is a free variable
+	// Compile only the inner j loop of a 2-D sweep; i is a free variable
 	// bound per call — exactly how generated slave code runs chunks.
 	p := &Program{
 		Name:   "frag",
@@ -219,11 +203,11 @@ func TestFragmentFreeVariables(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := p.Body[0].(*Loop).Body // the j loop, with i free
-	frag, err := in.LowerStmts(inner)
+	k, err := in.CompileKernel(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag.Run(map[string]int{"i": 2})
+	k.Run(map[string]int{"i": 2})
 	for j := 0; j < 4; j++ {
 		if in.Arrays["a"].At(2, j) != 1 {
 			t.Fatalf("row 2 not written: %v", in.Arrays["a"].Data)
@@ -250,8 +234,8 @@ func TestLowerRejectsNonAffine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.Lower(); err == nil {
-		t.Fatal("non-affine subscript lowered without error")
+	if _, err := in.CompileKernel(in.Prog.Body); err == nil {
+		t.Fatal("non-affine subscript compiled without error")
 	}
 	// Run must fall back to the interpreter and still work.
 	if err := in.Run(); err != nil {
@@ -369,6 +353,9 @@ func TestBreakIfTerminatesEarly(t *testing.T) {
 	}
 }
 
+// TestBreakIfInterpreterMatchesLowered runs a data-dependent BreakIf loop
+// to convergence through the interpreter and the compiled kernel: the
+// kernel must break on the same iteration and agree bit for bit.
 func TestBreakIfInterpreterMatchesLowered(t *testing.T) {
 	params := map[string]int{"n": 10, "maxiter": 200}
 	ref, err := NewInstance(JacobiConverge(), params)
@@ -379,11 +366,11 @@ func TestBreakIfInterpreterMatchesLowered(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := ref.Clone()
-	code, err := fast.Lower()
+	k, err := fast.CompileKernel(fast.Prog.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code.Run()
+	k.Run(nil)
 	for name := range ref.Arrays {
 		if d := ref.Arrays[name].MaxAbsDiff(fast.Arrays[name]); d != 0 {
 			t.Errorf("array %q differs by %g", name, d)
@@ -406,7 +393,7 @@ func TestBreakIfValidated(t *testing.T) {
 
 func TestAllComparisonOperators(t *testing.T) {
 	// One program per operator, run through both engines, so every
-	// comparison arm (interpreter, lowered, break) is exercised.
+	// comparison arm (interpreter, kernel, break) is exercised.
 	ops := []struct {
 		op   string
 		want float64 // value of a[1] after: if a[1] OP 0.5 { a[1] = 9 }
@@ -435,7 +422,7 @@ func TestAllComparisonOperators(t *testing.T) {
 					}),
 			},
 		}
-		for _, engine := range []string{"interpret", "lowered"} {
+		for _, engine := range []string{"interpret", "kernel"} {
 			in, err := NewInstance(p, map[string]int{"n": 3})
 			if err != nil {
 				t.Fatal(err)
@@ -443,10 +430,10 @@ func TestAllComparisonOperators(t *testing.T) {
 			if engine == "interpret" {
 				err = in.Interpret()
 			} else {
-				var code *Code
-				code, err = in.Lower()
+				var k *Kernel
+				k, err = in.CompileKernel(in.Prog.Body)
 				if err == nil {
-					code.Run()
+					k.Run(nil)
 				}
 			}
 			if err != nil {
@@ -474,11 +461,11 @@ func TestAllComparisonOperators(t *testing.T) {
 			t.Fatal(err)
 		}
 		fast := ref.Clone()
-		code, err := fast.Lower()
+		k, err := fast.CompileKernel(fast.Prog.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		code.Run()
+		k.Run(nil)
 		if d := ref.Arrays["a"].MaxAbsDiff(fast.Arrays["a"]); d != 0 {
 			t.Errorf("break op %s: engines disagree by %g", tc.op, d)
 		}

@@ -1,7 +1,6 @@
 package loopir
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,8 +9,8 @@ import (
 // randProgram builds a random but always-valid loop-nest program: a nest of
 // 1–3 loops over [1, n-1) with affine subscripts offset by -1/0/+1 (safe
 // within the loop bounds) and random arithmetic right-hand sides. It is
-// used to cross-check the lowered engine against the interpreter on inputs
-// no human wrote.
+// used to cross-check the compiled kernel against the interpreter on
+// inputs no human wrote (TestQuickKernelEquivalence).
 func randProgram(r *rand.Rand) *Program {
 	n := Iv("n")
 	depth := 1 + r.Intn(3)
@@ -61,35 +60,71 @@ func randProgram(r *rand.Rand) *Program {
 	}
 }
 
+// randIndex builds a random index expression over the loop variables i, j,
+// k and the parameter n. With affine set, every product has a constant
+// side; otherwise products of two variables may appear.
+func randIndex(r *rand.Rand, depth int, affine bool) IExpr {
+	if depth == 0 || r.Intn(4) == 0 {
+		if r.Intn(3) == 0 {
+			return Ic(r.Intn(11) - 5)
+		}
+		return Iv([]string{"i", "j", "k", "n"}[r.Intn(4)])
+	}
+	l, rt := randIndex(r, depth-1, affine), randIndex(r, depth-1, affine)
+	switch r.Intn(3) {
+	case 0:
+		return Iadd(l, rt)
+	case 1:
+		return Isub(l, rt)
+	}
+	if affine {
+		return Imul(Ic(r.Intn(7)-3), rt)
+	}
+	return Imul(l, rt)
+}
+
+// TestQuickLowerEquivalence fuzzes the affine front end: a lowered index
+// expression, evaluated on its register file, must equal EvalIndex on the
+// same bindings; the parameter n folds into the constant term; and a
+// lowering error is only allowed for a genuine product of two variables.
 func TestQuickLowerEquivalence(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60}
+	cfg := &quick.Config{MaxCount: 300}
 	check := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		p := randProgram(r)
-		if err := p.Validate(); err != nil {
-			t.Logf("seed %d: generated invalid program: %v", seed, err)
-			return false
-		}
-		nVal := 5 + r.Intn(6)
-		ref, err := NewInstance(p, map[string]int{"n": nVal})
+		affine := r.Intn(2) == 0
+		e := randIndex(r, 4, affine)
+		in := &Instance{Params: map[string]int{"n": 3 + r.Intn(20)}}
+		lw := &lowerer{in: in, regIndex: map[string]int{}}
+		l, err := lw.lowerIndex(e)
 		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
+			if affine {
+				t.Logf("seed %d: affine %s rejected: %v", seed, e.String(), err)
+				return false
+			}
+			return true
+		}
+		if _, ok := lw.regIndex["n"]; ok {
+			t.Logf("seed %d: parameter n given a register in %s", seed, e.String())
 			return false
 		}
-		fast := ref.Clone()
-		if err := ref.Interpret(); err != nil {
-			t.Logf("seed %d: interpret: %v", seed, err)
-			return false
+		env := map[string]int{"n": in.Params["n"]}
+		regs := make([]int, lw.nregs)
+		for name, reg := range lw.regIndex {
+			v := r.Intn(41) - 20
+			env[name], regs[reg] = v, v
 		}
-		code, err := fast.Lower()
+		for _, name := range []string{"i", "j", "k"} {
+			if _, ok := env[name]; !ok {
+				env[name] = r.Intn(41) - 20
+			}
+		}
+		want, err := EvalIndex(e, env)
 		if err != nil {
-			t.Logf("seed %d: lower: %v", seed, err)
+			t.Logf("seed %d: eval %s: %v", seed, e.String(), err)
 			return false
 		}
-		code.Run()
-		d := ref.Arrays["a"].MaxAbsDiff(fast.Arrays["a"])
-		if d != 0 && !math.IsNaN(d) {
-			t.Logf("seed %d: divergence %g", seed, d)
+		if got := l.eval(regs); got != want {
+			t.Logf("seed %d: %s lowered to %d, interpreter gives %d", seed, e.String(), got, want)
 			return false
 		}
 		return true

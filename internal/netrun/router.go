@@ -15,9 +15,10 @@ import (
 // the connection and stop".
 const tagClose = "__netrun_close"
 
-// router owns a process's connections: one link per peer node id, each
-// with a writer goroutine (serializing sends, enforcing write deadlines)
-// and a reader goroutine (delivering inbound envelopes to the mailbox).
+// router owns a process's connections: one send link per peer node id,
+// each link with a writer goroutine (serializing sends, enforcing write
+// deadlines) and a reader goroutine (delivering inbound envelopes to the
+// mailbox).
 // The master's router never dials — a slave it cannot reach is simply not
 // heard from, and the lease detector evicts it. Slave routers dial peers
 // lazily from the roster, so slave↔slave work movement flows direct.
@@ -31,9 +32,13 @@ type router struct {
 	// whose roster codec entry confirms the peer did too. Set before any
 	// link is attached, read by dial paths.
 	binarySelf bool
+	// dialHook, when set, runs between a lazy peer dial's handshake and
+	// its attach, so tests can force simultaneous-dial interleavings.
+	dialHook func(to int)
 
 	mu     sync.Mutex
-	links  map[int]*link
+	links  map[int]*link  // per-peer send link
+	all    map[*link]bool // every attached link not yet down, send or not
 	roster map[int]string
 	codecs map[int]string // peer id -> negotiated data-plane codec
 	down   map[int]bool
@@ -57,6 +62,7 @@ func newRouter(id int, box *mailbox, to Timeouts, dialPeers bool) *router {
 		to:        to.withDefaults(),
 		dialPeers: dialPeers,
 		links:     map[int]*link{},
+		all:       map[*link]bool{},
 		roster:    map[int]string{},
 		codecs:    map[int]string{},
 		down:      map[int]bool{},
@@ -183,16 +189,26 @@ func (r *router) dialPeer(to int, addr string) *link {
 	}
 	nc.SetWriteDeadline(time.Time{})
 	wc.SetBinary(r.peerBinary(to))
+	if r.dialHook != nil {
+		r.dialHook(to)
+	}
 	return r.attach(to, nc, wc, false)
 }
 
-// attach registers a live connection for peer and starts its reader and
-// writer. It takes the wire.Conn the handshake already used — gob streams
-// are stateful (type definitions are transmitted once), so the same
-// encoder/decoder pair must carry the whole connection. The newest
-// connection becomes the send target (a redial replaces a broken one); an
-// older connection for the same peer keeps its reader until it dies, so no
-// in-flight frame is lost. readLimited arms the per-frame read deadline —
+// attach registers a live connection for peer, starts its reader and
+// writer, and returns the peer's send link. It takes the wire.Conn the
+// handshake already used — gob streams are stateful (type definitions are
+// transmitted once), so the same encoder/decoder pair must carry the whole
+// connection.
+//
+// Every send to a peer goes over one link, because per-peer frame order is
+// part of the protocol (ghost tags carry no iteration number). Two slaves
+// that dial each other at once end up with two connections; the first one
+// attached stays the send link and the other only reads. A new connection
+// replaces the send link only when that link is dead, or on master↔slave
+// links, where a new connection is a reconnect. A replaced link keeps its
+// reader until it dies, so no in-flight frame is lost, and close and abort
+// reach every attached link. readLimited arms the per-frame read deadline —
 // the master sets it on slave connections, where heartbeats guarantee
 // traffic and prolonged silence means a dead link TCP has not noticed.
 func (r *router) attach(peer int, nc net.Conn, wc *wire.Conn, readLimited bool) *link {
@@ -209,13 +225,28 @@ func (r *router) attach(peer int, nc net.Conn, wc *wire.Conn, readLimited bool) 
 		nc.Close()
 		return nil
 	}
-	r.links[peer] = l
-	delete(r.down, peer)
+	send := l
+	if old := r.links[peer]; old != nil && r.id != cluster.MasterID && peer != cluster.MasterID && !old.isDead() {
+		send = old
+	} else {
+		r.links[peer] = l
+		delete(r.down, peer)
+	}
+	r.all[l] = true
 	r.wg.Add(2)
 	r.mu.Unlock()
 	go r.writer(l)
 	go r.reader(l, readLimited)
-	return l
+	return send
+}
+
+func (l *link) isDead() bool {
+	select {
+	case <-l.dead:
+		return true
+	default:
+		return false
+	}
 }
 
 func (r *router) linkDown(l *link, err error) {
@@ -228,6 +259,7 @@ func (r *router) linkDown(l *link, err error) {
 		delete(r.links, l.peer)
 		r.down[l.peer] = true
 	}
+	delete(r.all, l)
 	closed := r.closed
 	r.mu.Unlock()
 	if l.peer == cluster.MasterID && r.id != cluster.MasterID && !closed {
@@ -286,10 +318,7 @@ func (r *router) reader(l *link, readLimited bool) {
 // silent eviction that quietly recomputes past it.
 func (r *router) abort() {
 	r.mu.Lock()
-	links := make([]*link, 0, len(r.links))
-	for _, l := range r.links {
-		links = append(links, l)
-	}
+	links := r.attachedLinks()
 	r.mu.Unlock()
 	for _, l := range links {
 		select {
@@ -308,10 +337,7 @@ func (r *router) close() {
 		return
 	}
 	r.closed = true
-	links := make([]*link, 0, len(r.links))
-	for _, l := range r.links {
-		links = append(links, l)
-	}
+	links := r.attachedLinks()
 	r.mu.Unlock()
 	for _, l := range links {
 		select {
@@ -320,6 +346,15 @@ func (r *router) close() {
 		}
 	}
 	r.wg.Wait()
+}
+
+// attachedLinks lists every attached link not yet down; callers hold r.mu.
+func (r *router) attachedLinks() []*link {
+	links := make([]*link, 0, len(r.all))
+	for l := range r.all {
+		links = append(links, l)
+	}
+	return links
 }
 
 // dialBackoff dials addr with exponentially backed-off retries until the

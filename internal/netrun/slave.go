@@ -34,8 +34,8 @@ type ServerOptions struct {
 	// actual width to the load balancer through its measured rate.
 	Cores int
 	// Kernel overrides the master's shipped execution tier for this daemon
-	// ("" uses the shipped value; "interp", "kernel" or "aot" force a
-	// tier). All tiers are bit-identical, so heterogeneous overrides are
+	// ("" uses the shipped value; "kernel" or "aot" force a tier). Both
+	// tiers are bit-identical, so heterogeneous overrides are
 	// safe — a daemon without a working toolchain can pin itself to
 	// "kernel" while its peers run "aot".
 	Kernel string

@@ -53,7 +53,8 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("healthz = %d", code)
 	}
 
-	// Bad submissions: malformed JSON and an empty program.
+	// Bad submissions: malformed JSON, an empty program and an unknown
+	// kernel tier ("interp" names the interpreter fallback, not a tier).
 	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
 		t.Fatal(err)
@@ -65,11 +66,18 @@ func TestHTTPAPI(t *testing.T) {
 	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", JobSpec{}, nil); code != 400 {
 		t.Errorf("empty-program submit = %d, want 400", code)
 	}
+	badTier := testSpec(t, "mm", 64, 0, 2)
+	badTier.Kernel = "interp"
+	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", badTier, nil); code != 400 {
+		t.Errorf("interp-tier submit = %d, want 400", code)
+	}
 
 	// A good submission round-trips through status to a verified result.
 	spec := testSpec(t, "mm", 64, 0, 2)
 	spec.Tenant = "alice"
-	var sub struct{ ID string `json:"id"` }
+	var sub struct {
+		ID string `json:"id"`
+	}
 	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", spec, &sub); code != 202 {
 		t.Fatalf("submit = %d, want 202", code)
 	}
@@ -139,7 +147,9 @@ func TestHTTPQueueFull(t *testing.T) {
 	t.Cleanup(ts.Close)
 	spec := testSpec(t, "mm", 128, 0, 1)
 
-	var first struct{ ID string `json:"id"` }
+	var first struct {
+		ID string `json:"id"`
+	}
 	if code := httpDo(t, "POST", ts.URL+"/api/v1/jobs", spec, &first); code != 202 {
 		t.Fatalf("submit = %d", code)
 	}

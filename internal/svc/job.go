@@ -72,7 +72,7 @@ type JobSpec struct {
 	// Cores caps each slave's kernel worker goroutines (0: runtime default).
 	Cores int `json:"cores,omitempty"`
 	// Kernel selects the execution tier for distributed-loop bodies
-	// ("interp", "kernel" or "aot"; empty: "kernel"). All tiers are
+	// ("kernel" or "aot"; empty: "kernel"). Both tiers are
 	// bit-identical; "aot" pays a one-time toolchain build per program,
 	// cached on disk across jobs.
 	Kernel string `json:"kernel,omitempty"`

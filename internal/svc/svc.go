@@ -64,7 +64,7 @@ type Options struct {
 	MaxGroups int
 	// Kernel is the default execution tier for jobs that do not name one
 	// ("" keeps dlb's own default, the portable VM). A job's explicit
-	// Kernel always wins; all tiers are bit-identical, so the choice is
+	// Kernel always wins; both tiers are bit-identical, so the choice is
 	// purely about speed versus toolchain availability on the host.
 	Kernel string
 	// CostModel is the default balancer cost model for jobs that do not
